@@ -39,7 +39,8 @@ type App[Q any] interface {
 	// Query answers the application's query from the live per-shard
 	// coordinator state. Per-shard reads must happen inside
 	// snaps.View(p, ...) — serialized with that shard's message
-	// processing only — and stay O(s) cheap (snapshot, don't sort);
+	// processing only — and stay a plain copy of the shard's
+	// candidates (snapshot, don't sort);
 	// everything else (sorting, merging, estimating) runs outside
 	// every lock, so a concurrent querier never stalls ingest.
 	Query(snaps Snapshots) Q
@@ -118,8 +119,10 @@ func (h *Handle[Q]) ObserveBatch(site int, items []Item) error {
 
 // Query answers the application's query. It is valid at any instant and
 // deliberately cheap on the ingest locks: the App snapshots each shard
-// under that shard's own lock (an O(s) copy) and computes everything
-// else outside every lock, so a concurrent querier never stalls ingest.
+// under that shard's own lock and computes everything else outside
+// every lock, so a concurrent querier never stalls ingest. The locked
+// copy is O(s) for the top-s apps; Windowed copies every retained
+// candidate, about O(k·s·log(width/s)) per shard.
 // On asynchronous runtimes call Flush first for a fully-delivered view.
 // Query remains usable after Close.
 func (h *Handle[Q]) Query() Q {

@@ -128,7 +128,8 @@ func (c *WindowCoordinator) HandleMessage(m Message, bcast func(Message)) {
 // SnapshotWindow appends every live candidate — expiry applied against
 // each sub-stream's current clock — to dst and returns it together
 // with the coverage view. It is the locked read path: O(retained)
-// copies, no sorting; merge with window.TopEntries outside the lock.
+// copies, no sorting (size dst with Retained first to append without
+// regrowth); merge with window.TopEntries outside the lock.
 func (c *WindowCoordinator) SnapshotWindow(dst []window.Entry) ([]window.Entry, WindowCoverage) {
 	var cov WindowCoverage
 	for _, r := range c.sites {
@@ -157,6 +158,6 @@ func (c *WindowCoordinator) Site(i int) *window.Retention { return c.sites[i] }
 // windows, largest key first (diagnostics; the application layer merges
 // shard snapshots outside the locks instead).
 func (c *WindowCoordinator) Query() []window.Entry {
-	dst, _ := c.SnapshotWindow(nil)
+	dst, _ := c.SnapshotWindow(make([]window.Entry, 0, c.Retained()))
 	return window.TopEntries(dst, c.cfg.S)
 }

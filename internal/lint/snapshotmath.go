@@ -9,9 +9,10 @@ import (
 // SnapshotMath enforces the locked-snapshot / unlocked-math contract
 // of the plugin API (DESIGN.md §10, docs/PLUGINS.md): code holding a
 // shard ingest lock — a sync mutex region, or the body of a callback
-// passed to DoShard/Do/View — performs only O(s) state copies; all
-// query mathematics (sorting, top-s selection, cross-shard merging)
-// runs outside every lock so a querier never stalls ingest.
+// passed to DoShard/Do/View — only copies state (O(s) for the top-s
+// apps, every retained candidate for Windowed); all query mathematics
+// (sorting, top-s selection, cross-shard merging) runs outside every
+// lock so a querier never stalls ingest.
 //
 // Flagged inside locked regions:
 //   - sorting calls: sort.Sort/Stable/Slice/SliceStable/Ints/

@@ -5,10 +5,13 @@
 package snapshotmath
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
 	"wrs/internal/core"
+	"wrs/internal/window"
 )
 
 type shard struct {
@@ -32,6 +35,15 @@ func (s *shard) badMergeLocked(entries []core.SampleEntry) []core.SampleEntry {
 	return core.TopSample(entries, 4) // want "TopSample while holding shard.mu"
 }
 
+// badSortFuncLocked uses the generic sort while holding the mutex:
+// slices.SortFunc is as much query math as sort.Slice.
+func (s *shard) badSortFuncLocked() []float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slices.SortFunc(s.keys, func(a, b float64) int { return cmp.Compare(b, a) }) // want "slices.SortFunc while holding shard.mu"
+	return s.keys
+}
+
 // goodSnapshot is the contract: O(s) copy under the lock, sort
 // outside it.
 func (s *shard) goodSnapshot() []float64 {
@@ -53,6 +65,16 @@ func badViewCallback(s snaps, xs []int) {
 	s.View(0, func() {
 		sort.Ints(xs) // want "sort.Ints inside a View callback"
 	})
+}
+
+// badTopEntriesInView selects the windowed top s inside the locked-view
+// callback instead of after it returns.
+func badTopEntriesInView(s snaps, entries []window.Entry) []window.Entry {
+	var out []window.Entry
+	s.View(0, func() {
+		out = window.TopEntries(entries, 4) // want "TopEntries inside a View callback"
+	})
+	return out
 }
 
 // goodViewCallback copies inside the callback and sorts after it

@@ -24,7 +24,7 @@ package window
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"wrs/internal/stream"
 	"wrs/internal/xrand"
@@ -38,22 +38,74 @@ type Entry struct {
 	Item stream.Item
 }
 
-// TopEntries sorts entries by descending key in place — ties, which
-// have measure zero, break by item ID so every windowed query path is
-// a deterministic function of its candidate set — and truncates to s.
-// It is the finishing step for AppendEntries results, always run
-// outside any ingest lock.
+// TopEntries returns the s best entries, largest key first — ties,
+// which have measure zero, break by item ID so every windowed query
+// path is a deterministic function of its candidate set. It works in
+// place: the returned slice is a sorted prefix of entries, and the
+// rest of entries is left in unspecified order. It is the finishing
+// step for AppendEntries results, always run outside any ingest lock.
+//
+// The best s are selected with an in-slice heap whose root is the worst
+// entry kept so far (A-Res, Efraimidis 2010), so the cost is
+// O(n + n·log s) at worst and most entries cost one comparison against
+// the root; only the s survivors are sorted.
 func TopEntries(entries []Entry, s int) []Entry {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Key != entries[j].Key {
-			return entries[i].Key > entries[j].Key
-		}
-		return entries[i].Item.ID < entries[j].Item.ID
-	})
-	if len(entries) > s {
-		entries = entries[:s]
+	if s <= 0 {
+		return entries[:0]
 	}
+	if len(entries) > s {
+		top := entries[:s]
+		for i := s/2 - 1; i >= 0; i-- {
+			siftDown(top, i)
+		}
+		for i := s; i < len(entries); i++ {
+			if ranksBefore(&entries[i], &top[0]) {
+				entries[i], top[0] = top[0], entries[i]
+				siftDown(top, 0)
+			}
+		}
+		entries = top
+	}
+	slices.SortFunc(entries, compareEntries)
 	return entries
+}
+
+// ranksBefore reports whether a precedes b in the sample order: key
+// descending, then item ID ascending.
+func ranksBefore(a, b *Entry) bool {
+	if a.Key != b.Key {
+		return a.Key > b.Key
+	}
+	return a.Item.ID < b.Item.ID
+}
+
+func compareEntries(a, b Entry) int {
+	switch {
+	case ranksBefore(&a, &b):
+		return -1
+	case ranksBefore(&b, &a):
+		return 1
+	}
+	return 0
+}
+
+// siftDown restores the heap below h[i], where every parent ranks no
+// earlier than its children, so h[0] is the worst entry in h.
+func siftDown(h []Entry, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && ranksBefore(&h[c], &h[c+1]) {
+			c++
+		}
+		if !ranksBefore(&h[i], &h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Sampler maintains a weighted SWOR of size s over the last `width`

@@ -94,19 +94,25 @@ func (a *windowedApp) Instances(k, shards int, master *xrand.RNG) ([]rt.Instance
 }
 
 func (a *windowedApp) Query(snaps Snapshots) WindowSample {
-	entries := make([]window.Entry, 0, 2*a.s*len(a.coords))
+	var entries []window.Entry
 	var cov core.WindowCoverage
 	for p, coord := range a.coords {
 		coord := coord
 		snaps.View(p, func() {
+			// Size the buffer under the lock that fixes the candidate
+			// count, so SnapshotWindow never regrows it. (slices.Grow
+			// would cost a second allocation under -race.)
+			if need := len(entries) + coord.Retained(); need > cap(entries) {
+				entries = append(make([]window.Entry, 0, max(need, 2*cap(entries))), entries...)
+			}
 			var c core.WindowCoverage
 			entries, c = coord.SnapshotWindow(entries)
 			cov.Add(c)
 		})
 	}
-	// Everything below runs outside every ingest lock: sort the merged
-	// candidates (window.TopEntries — deterministic, key descending with
-	// ID tie-break) and truncate to s. Per-shard candidate sets sandwich
+	// Everything below runs outside every ingest lock: select the top s
+	// of the merged candidates (window.TopEntries — deterministic, key
+	// descending with ID tie-break). Per-shard candidate sets sandwich
 	// their shard's true window top-s, so the merged top-s is exact
 	// (DESIGN.md §11).
 	entries = window.TopEntries(entries, a.s)
